@@ -12,9 +12,9 @@
 #include "circuit/sw_circuit.hpp"
 #include "encoding/batch.hpp"
 #include "encoding/random.hpp"
-#include "sw/affine.hpp"
 #include "sw/banded.hpp"
 #include "sw/bpbc.hpp"
+#include "sw/scheme_aligner.hpp"
 #include "sw/traceback.hpp"
 
 namespace {
@@ -104,11 +104,17 @@ void BM_AffineGapSwa(benchmark::State& state) {
   const auto ys = encoding::random_sequences(rng, 32, n);
   const auto bx = encoding::transpose_strings<std::uint32_t>(xs);
   const auto by = encoding::transpose_strings<std::uint32_t>(ys);
-  const sw::AffineBpbcAligner<std::uint32_t> aligner({2, 1, 3, 1}, m, n);
+  sw::ScoringScheme affine;
+  affine.gap_model = sw::GapModel::kAffine;
+  affine.gap_open = 3;
+  affine.gap_extend = 1;
+  const sw::SchemeBpbcAligner<std::uint32_t> aligner(affine, m, n);
+  using View = encoding::PlanarGenericView<std::uint32_t>;
+  const View vx = View::from(bx.groups[0]);
+  const View vy = View::from(by.groups[0]);
   std::vector<std::uint32_t> slices(aligner.slices());
   for (auto _ : state) {
-    aligner.max_score_slices(bx.groups[0], by.groups[0],
-                             std::span<std::uint32_t>(slices));
+    aligner.max_score_slices(vx, vy, std::span<std::uint32_t>(slices));
     benchmark::DoNotOptimize(slices.data());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -99,12 +99,13 @@ int main(int argc, char** argv) {
   std::printf("lane width: %s (requested %s)\n", sw::lane_width_name(resolved),
               width_name.c_str());
 
-  const std::string backend_name = opt.get("backend", "auto");
-  if (!sw::parse_backend_choice(backend_name)) {
+  const std::string backend_arg = opt.get("backend", "auto");
+  const auto backend = sw::parse_backend_choice(backend_arg);
+  if (!backend) {
     std::fprintf(stderr,
                  "unknown --backend=%s (expected "
                  "bpbc|striped|wordwise-naive|auto)\n",
-                 backend_name.c_str());
+                 backend_arg.c_str());
     return 1;
   }
 
@@ -169,7 +170,7 @@ int main(int argc, char** argv) {
   scoring.threshold = tau;
   scoring.width = *width;
   scoring.mode = bulk::Mode::kParallel;
-  scoring.backend_name = backend_name;
+  scoring.backend_choice = *backend;
   if (reader) scoring.database = &*reader;
   const auto config = sw::ScreenSpecBuilder().scoring(scoring).build();
   if (!config) {
@@ -213,7 +214,7 @@ int main(int argc, char** argv) {
     rep.config["tau"] = std::to_string(tau);
     rep.config["width_requested"] = width_name;
     rep.config["width_resolved"] = sw::lane_width_name(resolved);
-    rep.config["backend_requested"] = backend_name;
+    rep.config["backend_requested"] = backend_arg;
     rep.config["hits"] = std::to_string(report.hits.size());
     rep.config["scores_fnv"] = std::to_string(
         util::fnv1a_span<std::uint32_t>(report.scores));

@@ -19,8 +19,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "device/engine.hpp"
 #include "device/fault.hpp"
-#include "device/sw_kernels.hpp"
 #include "encoding/random.hpp"
 #include "sw/pipeline.hpp"
 #include "sw/scalar.hpp"
@@ -83,12 +83,16 @@ int main(int argc, char** argv) {
 
     fault.seed = seed * 1000003 + c;
     device::FaultInjector injector(fault);
-    device::GpuRunOptions run;
+    device::EngineOptions run;
+    run.params = params;
+    run.width = sw::LaneWidth::k32;
     run.faults = &injector;
     run.watchdog_phases = m + n + 16;
     run.integrity.enabled = integrity;
     run.integrity.sample_every = 1;
     run.telemetry = session.sink();
+    run.overlap_depth = 1;
+    device::PipelineEngine engine(run);
 
     sw::ScreenConfig cfg;
     cfg.params = params;
@@ -97,8 +101,7 @@ int main(int argc, char** argv) {
     cfg.traceback = false;
     cfg.chunk_pairs = chunk;
     cfg.chunk_retry_limit = 3;
-    cfg.chunk_backend =
-        device::make_chunk_backend(params, sw::LaneWidth::k32, run);
+    cfg.backend = &engine;
     cfg.check.enabled = true;
     cfg.check.sample_every = 1;  // verify every lane against the scalar ref
     cfg.check.max_retries = 4;

@@ -57,12 +57,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string backend_name = opt.get("backend", "auto");
-  const auto backend = sw::parse_backend_choice(backend_name);
+  const std::string backend_arg = opt.get("backend", "auto");
+  const auto backend = sw::parse_backend_choice(backend_arg);
   if (!backend.has_value()) {
     std::fprintf(stderr,
                  "unknown --backend=%s (expected bpbc|striped|auto)\n",
-                 backend_name.c_str());
+                 backend_arg.c_str());
     return 1;
   }
 
@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("backend: %s (requested %s)\n",
-              sw::backend_choice_name(engine), backend_name.c_str());
+              sw::backend_choice_name(engine), backend_arg.c_str());
 
   sw::PhaseTimings timings;
   util::WallTimer timer;
@@ -259,7 +259,7 @@ int main(int argc, char** argv) {
     rep.config["plane_bits"] = std::to_string(scheme.alphabet_bits());
     rep.config["width_requested"] = width_name;
     rep.config["width_resolved"] = sw::lane_width_name(resolved);
-    rep.config["backend_requested"] = backend_name;
+    rep.config["backend_requested"] = backend_arg;
     rep.config["backend_resolved"] = sw::backend_choice_name(engine);
     rep.config["pairs"] = std::to_string(count);
     rep.config["hits"] = std::to_string(hits);

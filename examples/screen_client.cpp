@@ -144,15 +144,15 @@ int main(int argc, char** argv) {
   // Advisory host-engine hint carried in the request trailer (tag 3):
   // empty = unhinted, the daemon decides. Scores are bit-identical
   // whichever engine the daemon runs, so --verify stays valid.
-  const std::string backend_name = opt.get("backend", "");
+  const std::string backend_arg = opt.get("backend", "");
   std::uint8_t backend_hint = 0;
-  if (!backend_name.empty()) {
-    const auto choice = sw::parse_backend_choice(backend_name);
+  if (!backend_arg.empty()) {
+    const auto choice = sw::parse_backend_choice(backend_arg);
     if (!choice.has_value()) {
       std::fprintf(stderr,
                    "screen_client: unknown --backend=%s (expected "
                    "bpbc|striped|wordwise-naive|auto)\n",
-                   backend_name.c_str());
+                   backend_arg.c_str());
       return 2;
     }
     backend_hint = static_cast<std::uint8_t>(static_cast<int>(*choice) + 1);

@@ -47,13 +47,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.width = *width;
-  const std::string backend_name = opt.get("backend", "auto");
-  const auto backend = sw::parse_backend_choice(backend_name);
+  const std::string backend_arg = opt.get("backend", "auto");
+  const auto backend = sw::parse_backend_choice(backend_arg);
   if (!backend.has_value()) {
     std::fprintf(stderr,
                  "screen_serve: unknown --backend=%s (expected "
                  "bpbc|striped|wordwise-naive|auto)\n",
-                 backend_name.c_str());
+                 backend_arg.c_str());
     return 2;
   }
   config.backend = *backend;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: the tier-1 build + full test suite under the release preset
 # (plus a telemetry smoke: RunReport and span-trace artifacts validated by
-# scripts/check_run_report.py, and a live observability drill: stats
+# scripts/check_run_report.py, an exact Table V device-traffic gate
+# against BENCH_table5.json, and a live observability drill: stats
 # scrapes, a merged client+server trace, and the crash flight recorder,
 # reconciled by scripts/check_stats.py), then the tier2-sanitize suites
 # (fault injection, cancellation, checkpoint streams, negative inputs)
@@ -60,6 +61,28 @@ if [[ $run_tier1 -eq 1 ]]; then
   echo "== tier 1: overlapped chunk engine smoke (bit-identity gate) =="
   ./build/bench/table4_runtime --pairs=128 --m=16 --n=64 \
       --overlap --chunk-pairs=16 --overlap-depth=3 > /dev/null
+
+  echo "== tier 1: Table V device traffic (exact counter gate) =="
+  # The simulated device's memory traffic is deterministic, so rerunning
+  # the committed Table V config must reproduce every device.* counter in
+  # BENCH_table5.json exactly: any change to what the five pipeline
+  # stages read, write or conflict on shows up here. Timings are not
+  # compared.
+  ./build/bench/table5_gcups --pairs=512 --m=64 --n=256,512,1024 \
+      --json="$smoke_dir/table5.json" > /dev/null
+  python3 - BENCH_table5.json "$smoke_dir/table5.json" <<'EOF'
+import json, sys
+def device_counters(path):
+    counters = json.load(open(path))["metrics"]["counters"]
+    return {k: v for k, v in counters.items() if k.startswith("device.")}
+want, got = device_counters(sys.argv[1]), device_counters(sys.argv[2])
+diff = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+for k in diff:
+    print(f"  {k}: committed {want.get(k)} != rerun {got.get(k)}")
+if diff or not want:
+    sys.exit("Table V device counters drifted from BENCH_table5.json")
+print(f"  {len(want)} device counters match BENCH_table5.json")
+EOF
 
   echo "== tier 1: lane-width dispatch matrix (score fingerprint gate) =="
   # SWBPBC_FORCE_LANE_WIDTH drives the whole dispatch through one binary:

@@ -5,6 +5,7 @@
 #include <exception>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,7 +24,8 @@ using encoding::Sequence;
 // Fault campaign of a job: a pure function of the (chunk, attempt) tag, so
 // the pattern a chunk observes is independent of how many other chunks
 // were in flight first. The high bit keeps the derived campaigns clear of
-// the injector's shared counter, which the one-shot drivers still use.
+// the injector's shared counter, which one-shot gpu_bpbc_max_scores runs
+// draw from.
 std::uint64_t job_campaign(const sw::ChunkJob& job) {
   std::uint64_t h = util::fnv1a_value<std::uint64_t>(
       static_cast<std::uint64_t>(job.chunk));
@@ -91,6 +93,12 @@ struct JobState {
   }
 };
 
+void check_pair_counts(std::span<const Sequence> xs,
+                       std::span<const Sequence> ys) {
+  if (xs.size() != ys.size())
+    throw std::invalid_argument("pattern/text count mismatch");
+}
+
 sw::ChunkResult to_chunk_result(GpuRunResult&& run) {
   sw::ChunkResult out;
   out.scores = std::move(run.scores);
@@ -106,13 +114,18 @@ sw::ChunkResult to_chunk_result(GpuRunResult&& run) {
   return out;
 }
 
-// Width-erased interface over Core<W>: PipelineEngine holds one CoreBase
-// built for the resolved lane width, so adding a width is one factory case
-// instead of another member/forwarder pair.
+// Width-erased interface over Core<W>: PipelineEngine and the one-shot
+// gpu_bpbc_max_scores hold one CoreBase built for the resolved lane width,
+// so adding a width is one factory case instead of another member/
+// forwarder pair.
 class CoreBase {
  public:
   virtual ~CoreBase() = default;
-  virtual sw::ChunkResult run(const sw::ChunkJob& job) = 0;
+  /// The synchronous five-stage path under an explicit fault campaign,
+  /// with the full per-stage result (timings, traffic, watchdog status,
+  /// integrity findings). Never starts the stream workers.
+  virtual GpuRunResult run_device(const sw::ChunkJob& job,
+                                  std::uint64_t campaign) = 0;
   virtual void submit(const sw::ChunkJob& job) = 0;
   virtual sw::ChunkResult collect() = 0;
 };
@@ -124,56 +137,45 @@ class Core final : public CoreBase {
 
   explicit Core(const EngineOptions& opts)
       : opts_(opts),
-        depth_(std::clamp<std::size_t>(opts.overlap_depth, 1, 8)),
-        slots_(depth_) {
-    if (opts_.telemetry != nullptr) {
-      telemetry::Tracer* tr = opts_.telemetry->tracer();
-      if (tr != nullptr) {
-        tr->set_track_name(telemetry::kTrackStreamBase + 0, "stream.copy-in");
-        tr->set_track_name(telemetry::kTrackStreamBase + 1, "stream.compute");
-        tr->set_track_name(telemetry::kTrackStreamBase + 2, "stream.copy-out");
-      }
-    }
-  }
+        depth_(std::clamp<std::size_t>(opts.overlap_depth, 1, 8)) {}
 
-  sw::ChunkResult run(const sw::ChunkJob& job) override {
-    validate(job);
-    if (job.xs.empty()) return {};
+  GpuRunResult run_device(const sw::ChunkJob& job,
+                          std::uint64_t campaign) override {
     ensure_shape(job);
     JobState<W> st;
-    init_job(st, job, &sync_arena_);
+    init_job(st, job, campaign, &sync_arena_);
     prep(&st, telemetry::kTrackDevice);
     swa(&st, telemetry::kTrackDevice);
     post(&st, telemetry::kTrackDevice);
     if (st.error != nullptr) std::rethrow_exception(st.error);
-    return to_chunk_result(std::move(st.run));
+    return std::move(st.run);
   }
 
   void submit(const sw::ChunkJob& job) override {
-    validate(job);
     if (job.xs.empty())
       throw std::invalid_argument("empty chunk submitted to engine");
     ensure_shape(job);
+    Pipeline& p = pipeline();
     auto st = std::make_shared<JobState<W>>();
-    Arena<W>& arena = slots_[next_slot_];
-    next_slot_ = (next_slot_ + 1) % depth_;
-    init_job(*st, job, &arena);
+    Arena<W>& arena = p.slots[p.next_slot];
+    p.next_slot = (p.next_slot + 1) % depth_;
+    init_job(*st, job, job_campaign(job), &arena);
 
     // Chain the job's three stages across the streams. The copy-in stream
     // first stalls until the arena's previous occupant has fully retired,
     // which is what bounds the pipeline at `depth_` chunks in flight.
-    copy_in_.wait(arena.retire);
-    copy_in_.enqueue(
+    p.copy_in.wait(arena.retire);
+    p.copy_in.enqueue(
         [this, st] { prep(st.get(), telemetry::kTrackStreamBase + 0); });
-    const Event prep_done = copy_in_.record();
-    compute_.wait(prep_done);
-    compute_.enqueue(
+    const Event prep_done = p.copy_in.record();
+    p.compute.wait(prep_done);
+    p.compute.enqueue(
         [this, st] { swa(st.get(), telemetry::kTrackStreamBase + 1); });
-    const Event swa_done = compute_.record();
-    copy_out_.wait(swa_done);
-    copy_out_.enqueue(
+    const Event swa_done = p.compute.record();
+    p.copy_out.wait(swa_done);
+    p.copy_out.enqueue(
         [this, st] { post(st.get(), telemetry::kTrackStreamBase + 2); });
-    st->done = copy_out_.record();
+    st->done = p.copy_out.record();
     arena.retire = st->done;
     pending_.push_back(std::move(st));
   }
@@ -193,14 +195,38 @@ class Core final : public CoreBase {
   }
 
  private:
-  static void validate(const sw::ChunkJob& job) {
-    if (job.xs.size() != job.ys.size())
-      throw std::invalid_argument("pattern/text count mismatch");
+  // Overlapped-execution state: the arena ring and the three streams
+  // (each a worker thread). Built by the first submit(), so one-shot runs
+  // and engines that only run() synchronously never start a thread.
+  struct Pipeline {
+    explicit Pipeline(std::size_t depth) : slots(depth) {}
+    std::vector<Arena<W>> slots;
+    std::size_t next_slot = 0;
+    // Streams are declared after the arenas so they are destroyed first:
+    // their destructors drain every queued closure while the arenas are
+    // still alive.
+    Stream copy_in{"copy-in"};
+    Stream compute{"compute"};
+    Stream copy_out{"copy-out"};
+  };
+
+  Pipeline& pipeline() {
+    if (pipe_ == nullptr) {
+      pipe_ = std::make_unique<Pipeline>(depth_);
+      if (telemetry::Tracer* tr = tracer(); tr != nullptr) {
+        tr->set_track_name(telemetry::kTrackStreamBase + 0, "stream.copy-in");
+        tr->set_track_name(telemetry::kTrackStreamBase + 1, "stream.compute");
+        tr->set_track_name(telemetry::kTrackStreamBase + 2,
+                           "stream.copy-out");
+      }
+    }
+    return *pipe_;
   }
 
-  void init_job(JobState<W>& st, const sw::ChunkJob& job, Arena<W>* arena) {
+  void init_job(JobState<W>& st, const sw::ChunkJob& job,
+                std::uint64_t campaign, Arena<W>* arena) {
     st.job = job;
-    st.campaign = job_campaign(job);
+    st.campaign = campaign;
     st.arena = arena;
     st.count = job.xs.size();
     st.n_groups = (st.count + kLanes - 1) / kLanes;
@@ -275,7 +301,9 @@ class Core final : public CoreBase {
     detail::pack_wordwise_into(a.host_y, job.ys, n);
 
     // Canary lanes: replicate instances of the last group into its spare
-    // lanes (see sw_kernels.hpp).
+    // lanes. The duplicates ride through W2B and SWA in the same machine
+    // words as their sources, so any in-kernel corruption of the group has
+    // a chance of splitting a canary from its source.
     a.canary_src.clear();
     std::size_t padded_count = count;
     if (integ.enabled && integ.canary_lanes) {
@@ -297,7 +325,8 @@ class Core final : public CoreBase {
     }
     st->padded_count = padded_count;
 
-    // H2G into the persistent device buffers.
+    // H2G into the persistent device buffers (the copy-fault stream can
+    // flip bits in flight; the checksum below catches that).
     timer.reset();
     telemetry::Span h2g_span(tr, "H2G", "device", track);
     h2g_span.arg("chunk", static_cast<std::int64_t>(job.chunk));
@@ -375,7 +404,10 @@ class Core final : public CoreBase {
     w2b_span.finish();
     st->run.timings.w2b_ms = timer.elapsed_ms();
 
-    // Transpose round-trip after W2B (see sw_kernels.cpp for rationale).
+    // Transpose round-trip after W2B: re-transpose sampled positions of
+    // the device wordwise input on the host and compare with the device
+    // bit planes. Source is d_*_words (not host_*), so a flipped H2G copy
+    // is not double-reported here.
     if (integ.enabled) {
       integ_timer.reset();
       const std::size_t stride = std::max<std::size_t>(1, integ.sample_every);
@@ -422,7 +454,7 @@ class Core final : public CoreBase {
     util::WallTimer timer, integ_timer;
 
     const ArenaBounds<W> b = bind_arena(a);
-    a.killed.assign(integ.enabled ? n_groups : 0, 0);
+    a.killed.assign(n_groups, 0);
     LaunchConfig swa_cfg;
     swa_cfg.grid_dim = n_groups;
     swa_cfg.record_metrics = opts_.record_metrics;
@@ -430,7 +462,7 @@ class Core final : public CoreBase {
     swa_cfg.faults = opts_.faults;
     swa_cfg.watchdog_phases = opts_.watchdog_phases;
     swa_cfg.stop = job.stop;
-    swa_cfg.killed = integ.enabled ? &a.killed : nullptr;
+    swa_cfg.killed = &a.killed;
     swa_cfg.campaign = st->campaign;
     timer.reset();
     telemetry::Span swa_span(tr, "SWA", "device", track);
@@ -446,6 +478,9 @@ class Core final : public CoreBase {
     swa_span.finish();
     st->run.timings.swa_ms = timer.elapsed_ms();
 
+    // Canary comparison on the bit-sliced scores: lane bits of a canary
+    // must equal its source lane in every slice word. Checked before B2W
+    // so a B2W fault cannot masquerade as an SWA one.
     if (integ.enabled) {
       integ_timer.reset();
       if (!a.canary_src.empty()) {
@@ -469,6 +504,12 @@ class Core final : public CoreBase {
         if (a.killed[g] != 0) st->note_fault(sw::PipelineStage::kSWA, g);
       st->run.integrity_ms += integ_timer.elapsed_ms();
     }
+    // Killed blocks keep their launch-time (zeroed) outputs; the run
+    // still completes and reports them as a kKernelTimeout status.
+    if (const auto kills = std::count(a.killed.begin(), a.killed.end(), 1);
+        kills != 0)
+      st->run.status = util::Status::kernel_timeout(
+          std::to_string(kills) + " block(s) killed by the watchdog");
   } catch (...) {
     st->error = std::current_exception();
   }
@@ -513,6 +554,9 @@ class Core final : public CoreBase {
     b2w_span.finish();
     st->run.timings.b2w_ms = timer.elapsed_ms();
 
+    // Untranspose round-trip after B2W: redo each group's untranspose on
+    // the host from the device score slices and compare the wordwise
+    // scores.
     if (integ.enabled) {
       integ_timer.reset();
       const std::uint32_t mask =
@@ -585,16 +629,11 @@ class Core final : public CoreBase {
   bool shaped_ = false;
   bitsim::PayloadTranspose<W> char_plan_, score_plan_;
   detail::SwConstants<W> consts_;
-  std::vector<Arena<W>> slots_;
-  Arena<W> sync_arena_;  // run()'s arena, never shared with the pipeline
+  Arena<W> sync_arena_;  // run_device()'s arena, never shared with streams
   std::deque<std::shared_ptr<JobState<W>>> pending_;
-  std::size_t next_slot_ = 0;
-  // Streams are declared last so they are destroyed first: their
-  // destructors drain every queued closure while the arenas and caches
-  // above are still alive.
-  Stream copy_in_{"copy-in"};
-  Stream compute_{"compute"};
-  Stream copy_out_{"copy-out"};
+  // Declared last so it is destroyed first: the stream closures read the
+  // shape caches above until the streams have drained.
+  std::unique_ptr<Pipeline> pipe_;
 };
 
 std::unique_ptr<CoreBase> make_core(sw::LaneWidth width,
@@ -665,15 +704,49 @@ sw::BackendCaps PipelineEngine::caps() const {
 }
 
 sw::ChunkResult PipelineEngine::run(const sw::ChunkJob& job) {
-  return impl_->core->run(job);
+  check_pair_counts(job.xs, job.ys);
+  if (job.xs.empty()) return {};
+  return to_chunk_result(impl_->core->run_device(job, job_campaign(job)));
 }
 
 void PipelineEngine::submit(const sw::ChunkJob& job) {
+  check_pair_counts(job.xs, job.ys);
   impl_->core->submit(job);
 }
 
 sw::ChunkResult PipelineEngine::collect() { return impl_->core->collect(); }
 
 const EngineOptions& PipelineEngine::options() const { return impl_->opts; }
+
+GpuRunResult gpu_bpbc_max_scores(std::span<const Sequence> xs,
+                                 std::span<const Sequence> ys,
+                                 const sw::ScoreParams& params,
+                                 sw::LaneWidth width,
+                                 const GpuRunOptions& options) {
+  check_pair_counts(xs, ys);
+  if (xs.empty()) return {};
+  EngineOptions opts;
+  opts.params = params;
+  opts.record_metrics = options.record_metrics;
+  opts.mode = options.mode;
+  opts.w2b_block_dim = options.w2b_block_dim;
+  opts.faults = options.faults;
+  opts.watchdog_phases = options.watchdog_phases;
+  opts.integrity = options.integrity;
+  opts.telemetry = options.telemetry;
+  opts.overlap_depth = 1;
+  sw::ChunkJob job;
+  job.xs = xs;
+  job.ys = ys;
+  job.stop = options.stop;
+  job.trace_id = telemetry::current_trace_context();
+  // Each one-shot run is one campaign of the injector's shared counter:
+  // a retry of a failing batch observes a fresh (still seed-
+  // deterministic) fault pattern.
+  const std::uint64_t campaign =
+      options.faults != nullptr ? options.faults->begin_run() : 0;
+  return make_core(sw::resolve_lane_width(width), opts)
+      ->run_device(job, campaign);
+}
 
 }  // namespace swbpbc::device

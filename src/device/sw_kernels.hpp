@@ -8,7 +8,9 @@
 //   Step 4 (B2W): kernel — bit-untranspose the per-lane max scores.
 //   Step 5 (G2H): copy wordwise scores back to the host.
 //
-// A wordwise wavefront kernel (one block per pair, plain integer cells) is
+// device::PipelineEngine (engine.hpp) implements the five stages once;
+// gpu_bpbc_max_scores below is its one-shot synchronous entry point. A
+// wordwise wavefront kernel (one block per pair, plain integer cells) is
 // provided as the GPU baseline of Table IV's "Wordwise 32-bits" rows.
 #pragma once
 
@@ -23,9 +25,9 @@
 #include "encoding/dna.hpp"
 #include "sw/bpbc.hpp"
 #include "sw/params.hpp"
-#include "sw/pipeline.hpp"
 #include "sw/reliability.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/cancel.hpp"
 #include "util/status.hpp"
 
 namespace swbpbc::device {
@@ -132,8 +134,11 @@ struct GpuRunResult {
 void absorb_device_run(telemetry::Telemetry* telemetry,
                        const GpuRunResult& run);
 
-/// Full BPBC pipeline on the simulated device. All xs share one length m,
-/// all ys one length n (the bit-transpose batch requirement).
+/// Full BPBC pipeline on the simulated device: one synchronous run of
+/// device::PipelineEngine's five stages (engine.cpp), so Table IV/V, the
+/// chunked screen and the daemon execute the same device code. All xs
+/// share one length m, all ys one length n (the bit-transpose batch
+/// requirement).
 GpuRunResult gpu_bpbc_max_scores(std::span<const encoding::Sequence> xs,
                                  std::span<const encoding::Sequence> ys,
                                  const sw::ScoreParams& params,
@@ -146,30 +151,5 @@ GpuRunResult gpu_wordwise_max_scores(std::span<const encoding::Sequence> xs,
                                      std::span<const encoding::Sequence> ys,
                                      const sw::ScoreParams& params,
                                      const GpuRunOptions& options = {});
-
-/// Adapts the device-sim BPBC pipeline (optionally fault-injected via
-/// `options.faults`) to sw::ScreenConfig::backend, turning sw::screen into
-/// a correctness-under-fault harness: faults corrupt scores here, and the
-/// pipeline's self-check must detect and recover every one.
-///
-/// Deprecated (v1): prefer device::PipelineEngine (device/engine.hpp), an
-/// sw::Backend with persistent arenas and overlapped streams; this
-/// adapter remains supported and allocates per run.
-sw::ScoreBackend make_screen_backend(const sw::ScoreParams& params,
-                                     sw::LaneWidth width,
-                                     GpuRunOptions options = {});
-
-/// Integrity-aware adapter for sw::ScreenConfig::chunk_backend: runs the
-/// device pipeline per chunk, forwards the screen layer's StopCondition
-/// into every launch, and surfaces the stage-integrity findings so the
-/// chunked screen can quarantine and retry just that chunk.
-///
-/// Deprecated (v1): prefer device::PipelineEngine (device/engine.hpp),
-/// which adds persistent arenas and overlapped submit()/collect()
-/// execution on top of the same integrity checks; this adapter remains
-/// supported and allocates per chunk.
-sw::ChunkBackend make_chunk_backend(const sw::ScoreParams& params,
-                                    sw::LaneWidth width,
-                                    GpuRunOptions options = {});
 
 }  // namespace swbpbc::device

@@ -1,6 +1,6 @@
-// Stage kernels of the paper's §V pipeline, shared by the one-shot run
-// drivers (sw_kernels.cpp) and the overlapped execution engine
-// (engine.cpp). Everything here is an internal building block — the
+// Stage kernels of the paper's §V pipeline, driven by the execution
+// engine (engine.cpp; the BPBC stages) and the wordwise baseline
+// (sw_kernels.cpp). Everything here is an internal building block — the
 // kernels are duck-typed launch() factories over bound device buffers —
 // and lives in device::detail; the public entry points stay in
 // sw_kernels.hpp / engine.hpp.

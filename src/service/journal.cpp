@@ -55,7 +55,7 @@ util::Expected<RequestJournal> RequestJournal::open(
             "journal '" + path + "' holds an undecodable completed record: " +
             response.status().message());
       const std::string id = response->id;
-      journal.completed_[id] = std::move(response).value();
+      journal.completed_.insert(std::move(response).value());
       std::erase_if(journal.pending_,
                     [&id](const ScreenRequest& r) { return r.id == id; });
     } else {
@@ -90,8 +90,26 @@ std::vector<ScreenRequest> RequestJournal::take_pending() {
   return std::exchange(pending_, {});
 }
 
-std::map<std::string, ScreenResponse> RequestJournal::take_completed() {
+ResponseCache RequestJournal::take_completed() {
   return std::exchange(completed_, {});
+}
+
+void ResponseCache::insert(ScreenResponse response) {
+  if (auto it = by_id_.find(response.id); it != by_id_.end()) {
+    it->second = std::move(response);
+    return;
+  }
+  if (by_id_.size() == kResponseCacheCapacity) {
+    by_id_.erase(order_.front());
+    order_.pop_front();
+  }
+  order_.push_back(response.id);
+  by_id_.emplace(order_.back(), std::move(response));
+}
+
+const ScreenResponse* ResponseCache::find(const std::string& id) const {
+  const auto it = by_id_.find(id);
+  return it != by_id_.end() ? &it->second : nullptr;
 }
 
 }  // namespace swbpbc::service

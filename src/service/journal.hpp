@@ -19,15 +19,45 @@
 // rules.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "service/protocol.hpp"
 #include "util/checkpoint.hpp"
 
 namespace swbpbc::service {
+
+/// Retry window of the daemon's response cache: a client that retries one
+/// of the last kResponseCacheCapacity completed ids is served the cached
+/// bytes; an older id is recomputed (scoring is deterministic, so the
+/// scores are the same). Bounds the daemon's memory, which otherwise grows
+/// with every unique request id it ever completed.
+inline constexpr std::size_t kResponseCacheCapacity = 4096;
+
+/// Completed responses keyed by idempotency id, holding the newest
+/// kResponseCacheCapacity insertions and evicting the oldest first.
+class ResponseCache {
+ public:
+  /// Caches `response` under its id. Re-inserting a cached id replaces the
+  /// response and keeps its place in the eviction order.
+  void insert(ScreenResponse response);
+
+  /// The cached response for `id`, or nullptr.
+  [[nodiscard]] const ScreenResponse* find(const std::string& id) const;
+  [[nodiscard]] bool contains(const std::string& id) const {
+    return find(id) != nullptr;
+  }
+  [[nodiscard]] std::size_t size() const { return by_id_.size(); }
+  [[nodiscard]] bool empty() const { return by_id_.empty(); }
+
+ private:
+  std::unordered_map<std::string, ScreenResponse> by_id_;
+  std::deque<std::string> order_;  // insertion order, oldest first
+};
 
 class RequestJournal {
  public:
@@ -42,8 +72,10 @@ class RequestJournal {
   RequestJournal(RequestJournal&&) noexcept = default;
   RequestJournal& operator=(RequestJournal&&) noexcept = default;
 
-  /// Journals a request at admission (fsync'd single write). Must succeed
-  /// before the request may enter the compute queue.
+  /// Journals a request at admission: one write() of the whole record,
+  /// not fsync'd, so it survives a kill -9 of the daemon (the page cache
+  /// keeps it) but not a host crash or power loss. Must succeed before
+  /// the request may enter the compute queue.
   util::Status record_admitted(const ScreenRequest& request);
 
   /// Journals a terminal response for an id. Must succeed before the
@@ -54,9 +86,10 @@ class RequestJournal {
   /// order. The daemon recomputes these at startup. Consumes the state.
   std::vector<ScreenRequest> take_pending();
 
-  /// Responses replayed as completed, keyed by idempotency id. The
-  /// daemon seeds its response cache from this. Consumes the state.
-  std::map<std::string, ScreenResponse> take_completed();
+  /// Responses replayed as completed, keyed by idempotency id: the newest
+  /// kResponseCacheCapacity in journal order. The daemon seeds its
+  /// response cache from this. Consumes the state.
+  ResponseCache take_completed();
 
   /// Records appended since open (not counting replayed ones).
   [[nodiscard]] std::uint64_t appended() const { return appended_; }
@@ -72,7 +105,7 @@ class RequestJournal {
   std::uint64_t appended_ = 0;
   std::uint64_t replayed_ = 0;
   std::vector<ScreenRequest> pending_;
-  std::map<std::string, ScreenResponse> completed_;
+  ResponseCache completed_;
 };
 
 }  // namespace swbpbc::service

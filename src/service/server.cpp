@@ -134,7 +134,7 @@ struct ScreenServer::Impl {
 
   std::map<int, Connection> connections;
   std::deque<PendingRequest> queue;
-  std::map<std::string, ScreenResponse> completed;
+  ResponseCache completed;
   ServerStats stats;
   std::map<std::string, TenantServe> serve;
   std::map<std::string, std::uint32_t> tenant_tracks;
@@ -356,8 +356,7 @@ void ScreenServer::Impl::complete(const PendingRequest& pending,
       journal_it = false;
     }
   }
-  if (journal_it || !journal.has_value())
-    completed[response.id] = response;
+  if (journal_it || !journal.has_value()) completed.insert(response);
   if (!pending.recovered)
     admission.release(pending.request.tenant, pending.request.pair_count());
   respond(pending.connection, response);
@@ -444,9 +443,10 @@ void ScreenServer::Impl::handle_request(int fd, const Frame& frame) {
 
   // Idempotency: a retried id is served the journaled response —
   // bit-identical bytes, no recompute.
-  if (auto hit = completed.find(request.id); hit != completed.end()) {
+  if (const ScreenResponse* hit = completed.find(request.id);
+      hit != nullptr) {
     ++stats.cache_hits;
-    respond(fd, hit->second);
+    respond(fd, *hit);
     return;
   }
   // A retry racing its original: re-home the pending entry to the new
@@ -582,7 +582,7 @@ void ScreenServer::Impl::run_batch(const BatchPlan& plan) {
     // the engine's stream tracks. Scores are bit-identical to the host
     // path (the identity gates), so this is purely an observability and
     // throughput choice.
-    screen_config.backend_v2 = engine.get();
+    screen_config.backend = engine.get();
   }
   const auto t0 = std::chrono::steady_clock::now();
   auto report = sw::try_screen(xs, ys, screen_config);

@@ -9,7 +9,7 @@
 //
 //   frame in -> decode -> cache hit? serve journaled response
 //                      -> admission (kOverloaded / kQuotaExceeded shed)
-//                      -> journal `admitted` (fsync'd)  -> queue
+//                      -> journal `admitted` (written) -> queue
 //   queue -> plan_batch (lane-group packing, deadline shedding)
 //         -> sw::try_screen (one call per batch, scores sliced per
 //            request)
@@ -23,7 +23,8 @@
 // cleanly. Crash: kill -9 at any point leaves the journal with every
 // admitted request; the next start replays it, recomputes the pending
 // ones (deterministic scoring — bit-identical results), and serves
-// completed ones from cache.
+// completed ones from cache. Journal records are written, not fsync'd:
+// they survive a daemon kill, not a host crash or power loss.
 #pragma once
 
 #include <cstdint>

@@ -22,43 +22,6 @@ ChunkResult Backend::collect() {
 
 namespace {
 
-class ScoreBackendAdapter final : public Backend {
- public:
-  explicit ScoreBackendAdapter(ScoreBackend backend)
-      : backend_(std::move(backend)) {}
-
-  [[nodiscard]] BackendCaps caps() const override { return {}; }
-
-  ChunkResult run(const ChunkJob& job) override {
-    ChunkResult r;
-    r.scores = backend_(job.xs, job.ys);
-    return r;
-  }
-
- private:
-  ScoreBackend backend_;
-};
-
-class ChunkBackendAdapter final : public Backend {
- public:
-  explicit ChunkBackendAdapter(ChunkBackend backend)
-      : backend_(std::move(backend)) {}
-
-  [[nodiscard]] BackendCaps caps() const override {
-    BackendCaps caps;
-    caps.integrity = true;
-    caps.stop_polling = true;
-    return caps;
-  }
-
-  ChunkResult run(const ChunkJob& job) override {
-    return backend_(job.xs, job.ys, job.stop);
-  }
-
- private:
-  ChunkBackend backend_;
-};
-
 class HostBackend final : public Backend {
  public:
   // The width resolves once at construction (kAuto probe + env override),
@@ -144,14 +107,6 @@ class SchemeHostBackend final : public Backend {
 };
 
 }  // namespace
-
-std::unique_ptr<Backend> adapt_score_backend(ScoreBackend backend) {
-  return std::make_unique<ScoreBackendAdapter>(std::move(backend));
-}
-
-std::unique_ptr<Backend> adapt_chunk_backend(ChunkBackend backend) {
-  return std::make_unique<ChunkBackendAdapter>(std::move(backend));
-}
 
 std::unique_ptr<Backend> make_host_backend(
     const ScoreParams& params, LaneWidth width, bulk::Mode mode,

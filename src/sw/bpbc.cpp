@@ -102,12 +102,12 @@ template class BpbcAligner<bitsim::wide_word<256, false>>;
 namespace {
 
 template <bitsim::LaneWord W>
-std::vector<std::uint32_t> run_bpbc(std::span<const encoding::Sequence> xs,
-                                    std::span<const encoding::Sequence> ys,
-                                    const ScoreParams& params,
-                                    bulk::Mode mode,
-                                    encoding::TransposeMethod method,
-                                    PhaseTimings* timings) {
+std::vector<std::uint32_t> score_batch(std::span<const encoding::Sequence> xs,
+                                       std::span<const encoding::Sequence> ys,
+                                       const ScoreParams& params,
+                                       bulk::Mode mode,
+                                       encoding::TransposeMethod method,
+                                       PhaseTimings* timings) {
   constexpr unsigned kLanes = bitsim::word_bits_v<W>;
   const std::size_t count = xs.size();
   const std::size_t m = xs.empty() ? 0 : xs.front().size();
@@ -174,21 +174,21 @@ util::Expected<std::vector<std::uint32_t>> try_bpbc_max_scores(
   }
   switch (resolve_lane_width(width)) {
     case LaneWidth::k32:
-      return run_bpbc<std::uint32_t>(xs, ys, params, mode, method, timings);
+      return score_batch<std::uint32_t>(xs, ys, params, mode, method, timings);
     case LaneWidth::k64:
-      return run_bpbc<std::uint64_t>(xs, ys, params, mode, method, timings);
+      return score_batch<std::uint64_t>(xs, ys, params, mode, method, timings);
     case LaneWidth::k128:
-      return run_bpbc<bitsim::simd_word<128>>(xs, ys, params, mode, method,
-                                              timings);
+      return score_batch<bitsim::simd_word<128>>(xs, ys, params, mode, method,
+                                                 timings);
     case LaneWidth::k256:
-      return run_bpbc<bitsim::simd_word<256>>(xs, ys, params, mode, method,
-                                              timings);
+      return score_batch<bitsim::simd_word<256>>(xs, ys, params, mode, method,
+                                                 timings);
     case LaneWidth::k512:
-      return run_bpbc<bitsim::simd_word<512>>(xs, ys, params, mode, method,
-                                              timings);
+      return score_batch<bitsim::simd_word<512>>(xs, ys, params, mode, method,
+                                                 timings);
     case LaneWidth::kScalarWide:
-      return run_bpbc<bitsim::wide_word<256, false>>(xs, ys, params, mode,
-                                                     method, timings);
+      return score_batch<bitsim::wide_word<256, false>>(xs, ys, params, mode,
+                                                        method, timings);
     case LaneWidth::kAuto:
       break;  // resolve_lane_width never returns kAuto
   }

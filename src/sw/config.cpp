@@ -5,19 +5,6 @@
 
 namespace swbpbc::sw {
 
-namespace {
-
-// backend_name (when set) outranks the enum; flatten() falls back to the
-// enum on an unknown name, which validate() has already rejected.
-BackendChoice resolved_backend(const ScoringConfig& s) {
-  if (!s.backend_name.empty())
-    if (const auto parsed = parse_backend_choice(s.backend_name))
-      return *parsed;
-  return s.backend_choice;
-}
-
-}  // namespace
-
 ScreenConfig ScreenSpec::flatten() const {
   ScreenConfig cfg;
   cfg.params = scoring.params;
@@ -27,10 +14,8 @@ ScreenConfig ScreenSpec::flatten() const {
   cfg.mode = scoring.mode;
   cfg.method = scoring.method;
   cfg.traceback = scoring.traceback;
-  cfg.backend_choice = resolved_backend(scoring);
+  cfg.backend_choice = scoring.backend_choice;
   cfg.backend = scoring.backend;
-  cfg.chunk_backend = scoring.chunk_backend;
-  cfg.backend_v2 = scoring.backend_v2;
   cfg.database = scoring.database;
   cfg.db_verify_content = scoring.db_verify_content;
   cfg.check = survival.check;
@@ -54,10 +39,11 @@ util::Status invalid(std::string what) {
 }
 
 util::Status validate_scoring(const ScoringConfig& s) {
-  if (!s.backend_name.empty() && !parse_backend_choice(s.backend_name))
-    return invalid("scoring.backend_name \"" + s.backend_name +
-                   "\" is not a host engine (expected "
-                   "bpbc|striped|wordwise-naive|auto)");
+  // An enum value no name parses to (say, an integer cast from a wire
+  // field) would fall through every dispatch switch with no backend.
+  if (!parse_backend_choice(backend_choice_name(s.backend_choice)))
+    return invalid("scoring.backend_choice names no known backend (auto, "
+                   "bpbc, striped, wordwise-naive)");
   if (s.scheme.has_value()) {
     if (util::Status st = validate_scheme(*s.scheme, "scoring.scheme");
         !st.ok())
@@ -84,7 +70,7 @@ util::Status validate_scoring(const ScoringConfig& s) {
 util::Status validate(const ScreenSpec& spec) {
   const SurvivalConfig& sv = spec.survival;
   if (util::Status s = validate_scoring(spec.scoring); !s.ok()) return s;
-  const BackendChoice host_choice = resolved_backend(spec.scoring);
+  const BackendChoice host_choice = spec.scoring.backend_choice;
   if (host_choice == BackendChoice::kWordwiseNaive &&
       spec.scoring.scheme.has_value() &&
       !spec.scoring.scheme->params_expressible())
@@ -99,8 +85,7 @@ util::Status validate(const ScreenSpec& spec) {
                      "kernels; requesting the striped or wordwise-naive "
                      "host engine conflicts — clear one (auto and bpbc "
                      "defer to the store)");
-    if (spec.scoring.backend_v2 != nullptr || spec.scoring.backend ||
-        spec.scoring.chunk_backend)
+    if (spec.scoring.backend != nullptr)
       return invalid("scoring.database is unused when an explicit backend "
                      "is set (backends outrank the store); clear one");
     if (spec.scoring.scheme.has_value() &&
@@ -133,9 +118,9 @@ util::Status validate(const ScreenSpec& spec) {
     if (sv.chunk_pairs == 0)
       return invalid("survival.overlap_depth >= 2 requires chunk_pairs > 0 "
                      "(overlap needs at least two chunks in flight)");
-    if (spec.scoring.backend_v2 == nullptr)
+    if (spec.scoring.backend == nullptr)
       return invalid("survival.overlap_depth >= 2 requires a stream-capable "
-                     "scoring.backend_v2 (function backends run serially)");
+                     "scoring.backend (the host engines run serially)");
   }
   if (sv.check.enabled && sv.check.backoff_base_ms < 0.0)
     return invalid("survival.check.backoff_base_ms must be >= 0");
@@ -157,7 +142,7 @@ ScanConfig ScanSpec::flatten() const {
   cfg.threshold = scoring.threshold;
   cfg.width = scoring.width;
   cfg.mode = scoring.mode;
-  cfg.backend = resolved_backend(scoring);
+  cfg.backend = scoring.backend_choice;
   cfg.traceback = scoring.traceback;
   cfg.window = windows.window;
   cfg.overlap = windows.overlap;
@@ -175,8 +160,7 @@ util::Status validate(const ScanSpec& spec) {
     return invalid("scan supports ScoreParams-expressible schemes only "
                    "(linear gaps, uniform substitution); ScanConfig has no "
                    "affine path");
-  if (spec.scoring.backend_v2 != nullptr || spec.scoring.backend != nullptr ||
-      spec.scoring.chunk_backend != nullptr)
+  if (spec.scoring.backend != nullptr)
     return invalid("scan ignores scoring backends (it always runs the host "
                    "BPBC path); clear them rather than relying on that");
   if (spec.windows.window == 0)

@@ -1,19 +1,18 @@
-// v2 config decomposition for the screening boundaries.
+// Decomposed configs for the screening boundaries.
 //
-// ScreenConfig (v1) grew into one flat bag of fields spanning three
-// concerns. The v2 spec splits it along those seams —
+// ScreenConfig is one flat bag of fields spanning three concerns. The
+// spec splits it along those seams —
 //
 //   ScoringConfig       what to score and on which engine
 //   SurvivalConfig      chunking, retries, checkpoints, stop conditions
 //   ObservabilityConfig progress callbacks and telemetry sinks
 //
-// — and puts a validating builder in front: build() cross-checks the
-// fields that v1 silently accepted in inconsistent combinations (a resume
-// path without chunking, an overlap window with nothing to overlap, ...)
-// and returns util::Expected with a typed kInvalidInput instead of
-// misbehaving at screen time. The flat ScreenConfig remains the type the
-// pipeline consumes; flatten()/build() produce one, so v1 call sites and
-// v2 call sites converge before try_screen.
+// — and puts a validating builder in front: build() cross-checks fields
+// that the flat config silently accepts in inconsistent combinations (a
+// resume path without chunking, an overlap window with nothing to
+// overlap, ...) and returns util::Expected with a typed kInvalidInput
+// instead of misbehaving at screen time. The flat ScreenConfig remains
+// the type the pipeline consumes; flatten()/build() produce one.
 //
 // ScanConfig gets the same treatment via ScanSpec/ScanSpecBuilder.
 #pragma once
@@ -49,19 +48,13 @@ struct ScoringConfig {
   // the striped-SIMD rival, the naive wordwise reference, or (default)
   // the measured cost-model auto-dispatch — see sw/dispatch.hpp. Scores
   // are bit-identical whichever engine runs; SWBPBC_FORCE_BACKEND
-  // outranks this field at screen time.
+  // outranks this field at screen time. CLIs parse the user's spelling
+  // with parse_backend_choice and reject unknown names themselves.
   BackendChoice backend_choice = BackendChoice::kAuto;
-  // CLI-facing spelling of backend_choice ("bpbc" | "striped" |
-  // "wordwise-naive" | "auto"); when non-empty it outranks the enum, and
-  // the builders reject unknown names with a typed kInvalidInput instead
-  // of silently defaulting.
-  std::string backend_name;
-  // Engine selection, same precedence as ScreenConfig: backend_v2 (not
-  // owned, must outlive the run) over chunk_backend over backend over the
-  // database store over the backend_choice host path.
-  ScoreBackend backend;
-  ChunkBackend chunk_backend;
-  Backend* backend_v2 = nullptr;
+  // Engine selection, same precedence as ScreenConfig: backend (not
+  // owned, must outlive the run) over the database store over the
+  // backend_choice host path.
+  Backend* backend = nullptr;
   // Pre-transposed database store serving the ys side (not owned; must
   // outlive the run). The builder rejects combining it with an explicit
   // backend, and requires chunk_pairs to be shard-aligned (a multiple of
@@ -101,7 +94,7 @@ struct ScreenSpec {
   SurvivalConfig survival;
   ObservabilityConfig observability;
 
-  /// The flat v1 config the pipeline consumes. No validation.
+  /// The flat config the pipeline consumes. No validation.
   [[nodiscard]] ScreenConfig flatten() const;
 };
 

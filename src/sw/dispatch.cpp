@@ -142,12 +142,7 @@ util::Expected<DispatchedBackend> make_dispatch_backend(
             "backend wordwise-naive scores ScoreParams-expressible schemes "
             "only (linear gaps, uniform substitution); use bpbc, striped, "
             "or auto for this scheme");
-      const ScoreParams p = *params;
-      out.backend = adapt_score_backend(
-          [p, mode](std::span<const encoding::Sequence> xs,
-                    std::span<const encoding::Sequence> ys) {
-            return wordwise_max_scores(xs, ys, p, mode);
-          });
+      out.backend = make_wordwise_backend(*params, mode);
       break;
     }
     case BackendChoice::kAuto:

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sw/backend.hpp"
+
 namespace swbpbc::sw {
 
 std::uint32_t wordwise_max_score(const encoding::Sequence& x,
@@ -53,6 +55,33 @@ std::vector<std::uint32_t> wordwise_max_scores(
     scores[k] = wordwise_max_score(xs[k], ys[k], params);
   });
   return scores;
+}
+
+namespace {
+
+class WordwiseBackend final : public Backend {
+ public:
+  WordwiseBackend(const ScoreParams& params, bulk::Mode mode)
+      : params_(params), mode_(mode) {}
+
+  [[nodiscard]] BackendCaps caps() const override { return {}; }
+
+  ChunkResult run(const ChunkJob& job) override {
+    ChunkResult r;
+    r.scores = wordwise_max_scores(job.xs, job.ys, params_, mode_);
+    return r;
+  }
+
+ private:
+  ScoreParams params_;
+  bulk::Mode mode_;
+};
+
+}  // namespace
+
+std::unique_ptr<Backend> make_wordwise_backend(const ScoreParams& params,
+                                               bulk::Mode mode) {
+  return std::make_unique<WordwiseBackend>(params, mode);
 }
 
 }  // namespace swbpbc::sw

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -23,6 +24,8 @@
 #include "sw/params.hpp"
 
 namespace swbpbc::sw {
+
+class Backend;  // sw/backend.hpp
 
 /// Max DP score with unsigned saturating arithmetic — the exact value
 /// semantics the BPBC circuit implements (subtract-and-clamp instead of
@@ -37,5 +40,11 @@ std::vector<std::uint32_t> wordwise_max_scores(
     std::span<const encoding::Sequence> xs,
     std::span<const encoding::Sequence> ys, const ScoreParams& params,
     bulk::Mode mode = bulk::Mode::kSerial);
+
+/// wordwise_max_scores as a screening Backend (the `wordwise-naive`
+/// engine). Caps are all off and it reports no phase split, so the screen
+/// attributes its whole call time to SWA.
+std::unique_ptr<Backend> make_wordwise_backend(
+    const ScoreParams& params, bulk::Mode mode = bulk::Mode::kSerial);
 
 }  // namespace swbpbc::sw

@@ -79,7 +79,30 @@ TEST(Journal, ReplaysAdmittedMinusCompletedAsPending) {
   const auto completed = journal->take_completed();
   ASSERT_EQ(completed.size(), 1u);
   ASSERT_TRUE(completed.contains("done"));
-  EXPECT_EQ(completed.at("done").scores, make_response("done").scores);
+  EXPECT_EQ(completed.find("done")->scores, make_response("done").scores);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, ReplayKeepsTheNewestCompletionsOnly) {
+  const std::string path = temp_path("window.journal");
+  std::remove(path.c_str());
+  constexpr std::size_t kUnique = kResponseCacheCapacity + 3;
+  {
+    auto journal = RequestJournal::open(path, kFp);
+    ASSERT_TRUE(journal.has_value());
+    for (std::size_t k = 0; k < kUnique; ++k)
+      ASSERT_TRUE(
+          journal->record_completed(make_response(std::to_string(k))).ok());
+  }
+  auto journal = RequestJournal::open(path, kFp);
+  ASSERT_TRUE(journal.has_value()) << journal.status().to_string();
+  EXPECT_EQ(journal->replayed(), kUnique);
+  const ResponseCache completed = journal->take_completed();
+  EXPECT_EQ(completed.size(), kResponseCacheCapacity);
+  EXPECT_FALSE(completed.contains("0"));  // evicted in journal order
+  EXPECT_FALSE(completed.contains("2"));
+  EXPECT_TRUE(completed.contains("3"));
+  EXPECT_TRUE(completed.contains(std::to_string(kUnique - 1)));
   std::remove(path.c_str());
 }
 
@@ -185,7 +208,7 @@ TEST(Journal, CompletedResponsesRoundTripExactly) {
   ASSERT_TRUE(completed.contains("bits"));
   // Bit-identical: the retrying client receives exactly the bytes the
   // crashed daemon would have sent.
-  EXPECT_EQ(encode_response(completed.at("bits")), encode_response(resp));
+  EXPECT_EQ(encode_response(*completed.find("bits")), encode_response(resp));
   std::remove(path.c_str());
 }
 

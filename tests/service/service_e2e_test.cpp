@@ -2,9 +2,9 @@
 // thread serving a real UNIX-domain socket, a real ScreenClient (or a raw
 // socket when the typed rejection itself is the assertion). Covers
 // bit-identity against the direct sw::screen path, journaled idempotent
-// retries, typed admission rejections with retry hints, deadline shedding,
-// journal-backed restart recovery, and the full fault-injected transport
-// under client backoff.
+// retries and the bounded response cache's retry window, typed admission
+// rejections with retry hints, deadline shedding, journal-backed restart
+// recovery, and the full fault-injected transport under client backoff.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -21,6 +21,7 @@
 #include "encoding/random.hpp"
 #include "service/client.hpp"
 #include "service/frame.hpp"
+#include "service/journal.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "sw/pipeline.hpp"
@@ -188,6 +189,39 @@ TEST(ServiceE2E, DuplicateIdIsServedFromTheJournalCache) {
   EXPECT_TRUE(harness.stop().ok());
   EXPECT_EQ(harness.stats().completed, 1u);   // computed exactly once
   EXPECT_GE(harness.stats().cache_hits, 1u);  // the retry hit the journal
+}
+
+TEST(ServiceE2E, ResponseCacheKeepsTheNewestCompletions) {
+  auto cfg = base_config("window");
+  cfg.lane_group = 1;  // every one-pair request dispatches at once
+  ServerHarness harness(cfg);
+  ASSERT_TRUE(harness.started()) << harness.create_status().to_string();
+  ScreenClient client(client_config(cfg));
+  ASSERT_TRUE(client.wait_ready().ok());
+
+  constexpr std::size_t kExtra = 5;
+  constexpr std::size_t kUnique = kResponseCacheCapacity + kExtra;
+  const auto request = [](std::size_t k) {
+    return make_request("window-" + std::to_string(k), 1, 7000 + k, 4, 8);
+  };
+  for (std::size_t k = 0; k < kUnique; ++k) {
+    const auto resp = client.screen(request(k));
+    ASSERT_TRUE(resp.has_value()) << k << ": " << resp.status().to_string();
+    ASSERT_EQ(resp->code, util::ErrorCode::kOk) << k;
+  }
+  // The cache holds exactly the newest kResponseCacheCapacity ids,
+  // kExtra .. kUnique - 1: retries of the newest and of the oldest kept id
+  // are cache hits, and a retry of the newest evicted id is recomputed —
+  // to the same scores.
+  for (const std::size_t k : {kUnique - 1, kExtra, kExtra - 1}) {
+    const auto resp = client.screen(request(k));
+    ASSERT_TRUE(resp.has_value()) << k << ": " << resp.status().to_string();
+    EXPECT_EQ(resp->scores, reference_scores(request(k))) << k;
+  }
+
+  EXPECT_TRUE(harness.stop().ok());
+  EXPECT_EQ(harness.stats().cache_hits, 2u);
+  EXPECT_EQ(harness.stats().completed, kUnique + 1);
 }
 
 TEST(ServiceE2E, QuotaRejectionIsTypedWithARetryHint) {

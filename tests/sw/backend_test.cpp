@@ -1,8 +1,8 @@
-// sw::Backend (v2) — adapter equivalence with the v1 function backends,
-// base-class submit/collect semantics, and the overlapped screen loop:
-// an engine-backed try_screen at overlap_depth >= 2 must be bit-identical
-// to its serial execution, including under fault injection with the full
-// self-check/quarantine machinery enabled.
+// sw::Backend — the explicit host backend against the screen's default
+// path, base-class submit/collect semantics, and the overlapped screen
+// loop: an engine-backed try_screen at overlap_depth >= 2 must be
+// bit-identical to its serial execution, including under fault injection
+// with the full self-check/quarantine machinery enabled.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +13,6 @@
 
 #include "device/engine.hpp"
 #include "device/fault.hpp"
-#include "device/sw_kernels.hpp"
 #include "encoding/random.hpp"
 #include "sw/backend.hpp"
 #include "sw/bpbc.hpp"
@@ -93,116 +92,24 @@ device::IntegrityConfig full_integrity() {
   return ic;
 }
 
-// --- compat adapters reproduce the v1 paths exactly ----------------------
-
-TEST(BackendV2, ScoreBackendAdapterMatchesLegacyField) {
-  const Batch b = make_batch(21, 48, 8, 16);
-  const ScoreBackend f = [](std::span<const Sequence> xs,
-                            std::span<const Sequence> ys) {
-    return bpbc_max_scores(xs, ys, kParams, LaneWidth::k32);
-  };
-  ScreenConfig legacy;
-  legacy.params = kParams;
-  legacy.threshold = 14;
-  legacy.backend = f;
-  legacy.chunk_pairs = 16;
-  const ScreenReport want = screen(b.xs, b.ys, legacy);
-
-  ScreenConfig v2 = legacy;
-  v2.backend = nullptr;
-  const std::unique_ptr<Backend> adapted = adapt_score_backend(f);
-  v2.backend_v2 = adapted.get();
-  const ScreenReport got = screen(b.xs, b.ys, v2);
-  expect_same_report(got, want, "score adapter");
-}
+// --- the host backend --------------------------------------------------
 
 TEST(BackendV2, HostBackendMatchesDefaultPath) {
   const Batch b = make_batch(22, 40, 8, 16);
-  ScreenConfig legacy;
-  legacy.params = kParams;
-  legacy.threshold = 12;
-  legacy.chunk_pairs = 10;
-  const ScreenReport want = screen(b.xs, b.ys, legacy);
+  ScreenConfig default_path;
+  default_path.params = kParams;
+  default_path.threshold = 12;
+  default_path.chunk_pairs = 10;
+  const ScreenReport want = screen(b.xs, b.ys, default_path);
 
-  ScreenConfig v2 = legacy;
+  ScreenConfig explicit_host = default_path;
   const std::unique_ptr<Backend> host = make_host_backend(
-      kParams, v2.width, v2.mode, v2.method);
-  v2.backend_v2 = host.get();
-  const ScreenReport got = screen(b.xs, b.ys, v2);
+      kParams, explicit_host.width, explicit_host.mode, explicit_host.method);
+  explicit_host.backend = host.get();
+  const ScreenReport got = screen(b.xs, b.ys, explicit_host);
   expect_same_report(got, want, "host backend");
   // Both paths attribute per-phase timings (not everything on SWA).
   EXPECT_GT(got.bpbc.w2b_ms + got.bpbc.b2w_ms, 0.0);
-}
-
-TEST(BackendV2, ChunkBackendAdapterMatchesLegacyUnderFaultInjection) {
-  // The same device chunk backend, reached through the v1 field and
-  // through adapt_chunk_backend, with twin same-seed injectors: the two
-  // screens must agree on every score, fault finding, and recovery count.
-  const Batch b = make_batch(23, 96, 8, 12);
-  device::FaultInjector faults_legacy(noisy_faults());
-  device::FaultInjector faults_v2(noisy_faults());
-
-  const auto configure = [&](device::FaultInjector* inj) {
-    device::GpuRunOptions gpu;
-    gpu.faults = inj;
-    gpu.integrity = full_integrity();
-    ScreenConfig cfg;
-    cfg.params = kParams;
-    cfg.threshold = 12;
-    cfg.width = LaneWidth::k32;
-    cfg.chunk_pairs = 16;
-    cfg.chunk_retry_limit = 2;
-    cfg.check.enabled = true;
-    cfg.check.sample_every = 3;
-    cfg.chunk_backend = device::make_chunk_backend(kParams, cfg.width, gpu);
-    return cfg;
-  };
-
-  ScreenConfig legacy = configure(&faults_legacy);
-  const ScreenReport want = screen(b.xs, b.ys, legacy);
-
-  ScreenConfig v2 = configure(&faults_v2);
-  const std::unique_ptr<Backend> adapted =
-      adapt_chunk_backend(v2.chunk_backend);
-  v2.chunk_backend = nullptr;
-  v2.backend_v2 = adapted.get();
-  const ScreenReport got = screen(b.xs, b.ys, v2);
-
-  expect_same_report(got, want, "chunk adapter");
-  expect_same_reliability(got.reliability, want.reliability, "chunk adapter");
-  EXPECT_GT(want.reliability.integrity_faults, 0u)
-      << "fault rates too low to exercise the recovery machinery";
-}
-
-TEST(BackendV2, CancellationEquivalentThroughAdapter) {
-  const Batch b = make_batch(24, 64, 8, 12);
-  const auto run_with = [&](bool use_v2) {
-    device::GpuRunOptions gpu;
-    ScreenConfig cfg;
-    cfg.params = kParams;
-    cfg.threshold = 10;
-    cfg.chunk_pairs = 16;
-    const ChunkBackend chunk =
-        device::make_chunk_backend(kParams, cfg.width, gpu);
-    std::unique_ptr<Backend> adapted;
-    if (use_v2) {
-      adapted = adapt_chunk_backend(chunk);
-      cfg.backend_v2 = adapted.get();
-    } else {
-      cfg.chunk_backend = chunk;
-    }
-    util::CancellationToken cancel;
-    cfg.cancel = &cancel;
-    cfg.progress = [&cancel](const ChunkProgress& p) {
-      if (p.chunk == 1) cancel.cancel();
-    };
-    return screen(b.xs, b.ys, cfg);
-  };
-  const ScreenReport want = run_with(false);
-  const ScreenReport got = run_with(true);
-  EXPECT_EQ(want.status.code(), util::ErrorCode::kCancelled);
-  expect_same_report(got, want, "cancelled run");
-  EXPECT_FALSE(want.complete());
 }
 
 // --- base-class submit/collect -------------------------------------------
@@ -246,7 +153,7 @@ ScreenReport engine_screen(const Batch& b, std::size_t overlap_depth,
   cfg.width = LaneWidth::k32;
   cfg.chunk_pairs = 16;
   cfg.chunk_retry_limit = 2;
-  cfg.backend_v2 = &engine;
+  cfg.backend = &engine;
   cfg.overlap_depth = overlap_depth;
   if (check) {
     cfg.check.enabled = true;
@@ -289,7 +196,7 @@ TEST(OverlappedScreen, CancellationLeavesWellFormedPartialReport) {
   cfg.params = kParams;
   cfg.threshold = 10;
   cfg.chunk_pairs = 16;
-  cfg.backend_v2 = &engine;
+  cfg.backend = &engine;
   cfg.overlap_depth = 3;
   cfg.cancel = &cancel;
   cfg.progress = [&cancel](const ChunkProgress& p) {

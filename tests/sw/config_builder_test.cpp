@@ -1,4 +1,4 @@
-// sw/config.hpp — the v2 decomposed configs and their validating
+// sw/config.hpp — the decomposed configs and their validating
 // builders: flatten() field mapping, every cross-field rejection rule
 // (typed kInvalidInput, never an exception), and the try_scan_text
 // boundary the ScanSpec feeds.
@@ -12,6 +12,7 @@
 
 #include "device/engine.hpp"
 #include "encoding/random.hpp"
+#include "fake_backend.hpp"
 #include "sw/backend.hpp"
 #include "sw/config.hpp"
 #include "sw/scoring.hpp"
@@ -45,7 +46,7 @@ TEST(ScreenSpecBuilder, FlattensEverySectionIntoTheV1Config) {
   scoring.width = LaneWidth::k32;
   scoring.mode = bulk::Mode::kParallel;
   scoring.traceback = false;
-  scoring.backend_v2 = &engine;
+  scoring.backend = &engine;
   SurvivalConfig survival;
   survival.chunk_pairs = 256;
   survival.chunk_retry_limit = 5;
@@ -68,7 +69,7 @@ TEST(ScreenSpecBuilder, FlattensEverySectionIntoTheV1Config) {
   EXPECT_EQ(cfg.width, LaneWidth::k32);
   EXPECT_EQ(cfg.mode, bulk::Mode::kParallel);
   EXPECT_FALSE(cfg.traceback);
-  EXPECT_EQ(cfg.backend_v2, &engine);
+  EXPECT_EQ(cfg.backend, &engine);
   EXPECT_EQ(cfg.chunk_pairs, 256u);
   EXPECT_EQ(cfg.chunk_retry_limit, 5u);
   EXPECT_EQ(cfg.overlap_depth, 3u);
@@ -189,7 +190,7 @@ TEST(ScreenSpecBuilder, RejectsOverlapBeyondTheArenaRing) {
   device::PipelineEngine engine(eopts);
   ScoringConfig scoring;
   scoring.params = kParams;
-  scoring.backend_v2 = &engine;
+  scoring.backend = &engine;
   SurvivalConfig survival;
   survival.chunk_pairs = 64;
   survival.overlap_depth = 9;
@@ -204,7 +205,7 @@ TEST(ScreenSpecBuilder, RejectsOverlapWithoutChunking) {
   device::PipelineEngine engine(eopts);
   ScoringConfig scoring;
   scoring.params = kParams;
-  scoring.backend_v2 = &engine;
+  scoring.backend = &engine;
   SurvivalConfig survival;
   survival.overlap_depth = 2;  // chunk_pairs left 0
   expect_invalid(
@@ -217,7 +218,7 @@ TEST(ScreenSpecBuilder, RejectsOverlapWithoutStreamBackend) {
   survival.chunk_pairs = 64;
   survival.overlap_depth = 2;
   expect_invalid(ScreenSpecBuilder().survival(survival).build(),
-                 "backend_v2");
+                 "scoring.backend");
 }
 
 TEST(ScreenSpecBuilder, RejectsDatabaseCombinedWithExplicitBackend) {
@@ -230,7 +231,7 @@ TEST(ScreenSpecBuilder, RejectsDatabaseCombinedWithExplicitBackend) {
   ScoringConfig scoring;
   scoring.params = kParams;
   scoring.database = fake_db;
-  scoring.backend_v2 = &engine;
+  scoring.backend = &engine;
   expect_invalid(ScreenSpecBuilder().scoring(scoring).build(),
                  "scoring.database");
 }
@@ -299,7 +300,7 @@ TEST(ScreenSpecBuilder, BuiltConfigRunsAnOverlappedScreen) {
   scoring.params = kParams;
   scoring.threshold = 12;
   scoring.width = LaneWidth::k32;
-  scoring.backend_v2 = &engine;
+  scoring.backend = &engine;
   SurvivalConfig survival;
   survival.chunk_pairs = 16;
   survival.overlap_depth = 3;
@@ -372,10 +373,9 @@ TEST(ScanSpecBuilder, RejectsWindowNotExceedingOverlap) {
 TEST(ScanSpecBuilder, RejectsConfiguredBackends) {
   ScoringConfig scoring;
   scoring.params = kParams;
-  scoring.backend = [](std::span<const Sequence>,
-                       std::span<const Sequence>) {
-    return std::vector<std::uint32_t>{};
-  };
+  FakeBackend empty(
+      [](const ChunkJob&) { return std::vector<std::uint32_t>{}; });
+  scoring.backend = &empty;
   expect_scan_invalid(ScanSpecBuilder().scoring(scoring).build(),
                       "backend");
 }
@@ -402,29 +402,36 @@ TEST(ScanSpecBuilder, ExpressibleSchemeLowersOntoParams) {
   EXPECT_EQ(built->params.gap, 4u);
 }
 
-// --- backend_choice / backend_name ---------------------------------------
+// --- backend_choice -------------------------------------------------------
 
-TEST(ScreenSpecBuilder, BackendNameFlattensAndOutranksTheEnum) {
+TEST(ScreenSpecBuilder, BackendChoiceFlattens) {
   ScoringConfig scoring;
   scoring.params = kParams;
-  scoring.backend_choice = BackendChoice::kBpbc;
-  scoring.backend_name = "striped";
+  scoring.backend_choice = BackendChoice::kStriped;
   const auto built = ScreenSpecBuilder().scoring(scoring).build();
   ASSERT_TRUE(built.has_value()) << built.status().to_string();
   EXPECT_EQ(built->backend_choice, BackendChoice::kStriped);
-  // And the enum alone flows through when no name is set.
-  scoring.backend_name.clear();
-  const auto enum_only = ScreenSpecBuilder().scoring(scoring).build();
-  ASSERT_TRUE(enum_only.has_value());
-  EXPECT_EQ(enum_only->backend_choice, BackendChoice::kBpbc);
 }
 
+// CLIs spell the engine as a string; parse_backend_choice is the one
+// parser, and an unknown name parses to nothing (each CLI turns that into
+// its usage error) rather than silently defaulting.
+TEST(ParseBackendChoice, UnknownNamesAreRejected) {
+  for (const char* name : {"farrar", "gpu", "", "BPBC ", "wordwise"})
+    EXPECT_FALSE(parse_backend_choice(name).has_value()) << name;
+  EXPECT_EQ(parse_backend_choice("wordwise-naive"),
+            BackendChoice::kWordwiseNaive);
+  EXPECT_EQ(parse_backend_choice("auto"), BackendChoice::kAuto);
+}
+
+// A backend_choice outside the enum (no name parses to it) is rejected at
+// build time with a typed error instead of reaching dispatch.
 TEST(ScreenSpecBuilder, UnknownBackendNameIsATypedError) {
   ScoringConfig scoring;
   scoring.params = kParams;
-  scoring.backend_name = "farrar";
+  scoring.backend_choice = static_cast<BackendChoice>(7);
   expect_invalid(ScreenSpecBuilder().scoring(scoring).build(),
-                 "scoring.backend_name");
+                 "scoring.backend_choice");
 }
 
 TEST(ScreenSpecBuilder, NaiveBackendRejectsAffineSchemes) {
@@ -434,7 +441,7 @@ TEST(ScreenSpecBuilder, NaiveBackendRejectsAffineSchemes) {
   affine.gap_extend = 1;
   ScoringConfig scoring;
   scoring.scheme = affine;
-  scoring.backend_name = "wordwise-naive";
+  scoring.backend_choice = BackendChoice::kWordwiseNaive;
   expect_invalid(ScreenSpecBuilder().scoring(scoring).build(),
                  "wordwise-naive");
 }
@@ -446,18 +453,18 @@ TEST(ScreenSpecBuilder, DatabaseRejectsNonBpbcHostEngines) {
   ScoringConfig scoring;
   scoring.params = kParams;
   scoring.database = reinterpret_cast<db::Reader*>(0x1);
-  scoring.backend_name = "striped";
+  scoring.backend_choice = BackendChoice::kStriped;
   expect_invalid(ScreenSpecBuilder().scoring(scoring).build(),
                  "scoring.database");
   // auto and bpbc defer to the store and stay accepted.
-  scoring.backend_name = "auto";
+  scoring.backend_choice = BackendChoice::kAuto;
   EXPECT_TRUE(ScreenSpecBuilder().scoring(scoring).build().has_value());
 }
 
-TEST(ScanSpecBuilder, BackendNameFlattensIntoScanConfig) {
+TEST(ScanSpecBuilder, BackendChoiceFlattensIntoScanConfig) {
   ScoringConfig scoring;
   scoring.params = kParams;
-  scoring.backend_name = "wordwise-naive";
+  scoring.backend_choice = BackendChoice::kWordwiseNaive;
   const auto built = ScanSpecBuilder().scoring(scoring).build();
   ASSERT_TRUE(built.has_value()) << built.status().to_string();
   EXPECT_EQ(built->backend, BackendChoice::kWordwiseNaive);
@@ -466,11 +473,11 @@ TEST(ScanSpecBuilder, BackendNameFlattensIntoScanConfig) {
 TEST(ScanSpecBuilder, UnknownBackendNameIsATypedError) {
   ScoringConfig scoring;
   scoring.params = kParams;
-  scoring.backend_name = "gpu";
+  scoring.backend_choice = static_cast<BackendChoice>(200);
   const auto built = ScanSpecBuilder().scoring(scoring).build();
   ASSERT_FALSE(built.has_value());
   EXPECT_EQ(built.status().code(), util::ErrorCode::kInvalidInput);
-  EXPECT_NE(built.status().message().find("scoring.backend_name"),
+  EXPECT_NE(built.status().message().find("scoring.backend_choice"),
             std::string::npos);
 }
 

@@ -14,6 +14,7 @@
 #include "db/fault.hpp"
 #include "db/reader.hpp"
 #include "encoding/random.hpp"
+#include "fake_backend.hpp"
 #include "sw/db_backend.hpp"
 #include "sw/pipeline.hpp"
 #include "util/status.hpp"
@@ -256,13 +257,11 @@ TEST(DbScreen, ExplicitBackendOutranksDatabase) {
   ScreenConfig cfg = base_config();
   cfg.database = &*reader;
   std::size_t backend_calls = 0;
-  cfg.backend = [&backend_calls](std::span<const Sequence> xs,
-                                 std::span<const Sequence> ys) {
+  FakeBackend zeros([&backend_calls](const ChunkJob& job) {
     ++backend_calls;
-    std::vector<std::uint32_t> scores(xs.size(), 0);
-    (void)ys;
-    return scores;
-  };
+    return std::vector<std::uint32_t>(job.xs.size(), 0);
+  });
+  cfg.backend = &zeros;
   const ScreenReport got = screen(f.xs, f.ys, cfg);
   EXPECT_GT(backend_calls, 0u);
   EXPECT_EQ(got.reliability.db_shards_served, 0u);

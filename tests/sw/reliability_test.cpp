@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
+#include "device/engine.hpp"
 #include "device/fault.hpp"
-#include "device/sw_kernels.hpp"
 #include "encoding/random.hpp"
+#include "fake_backend.hpp"
 #include "sw/pipeline.hpp"
 #include "sw/scalar.hpp"
 #include "util/status.hpp"
@@ -125,13 +125,13 @@ TEST(SelfCheck, PersistentlyWrongBackendFallsBackToWordwise) {
   cfg.check.max_retries = 2;
   // A backend that is always off by one: every retry fails, so every lane
   // must be settled by the wordwise CPU fallback.
-  cfg.backend = [](std::span<const Sequence> xs,
-                   std::span<const Sequence> ys) {
+  FakeBackend off_by_one([](const ChunkJob& job) {
     std::vector<std::uint32_t> scores;
-    for (std::size_t k = 0; k < xs.size(); ++k)
-      scores.push_back(max_score(xs[k], ys[k], kParams) + 1);
+    for (std::size_t k = 0; k < job.xs.size(); ++k)
+      scores.push_back(max_score(job.xs[k], job.ys[k], kParams) + 1);
     return scores;
-  };
+  });
+  cfg.backend = &off_by_one;
   const ScreenReport report = screen(b.xs, b.ys, cfg);
 
   const auto& rel = report.reliability;
@@ -154,15 +154,15 @@ TEST(SelfCheck, TransientFaultRecoveredByRetry) {
   cfg.check.max_retries = 3;
   // First call corrupts lane 0; every later (quarantine) call is clean —
   // a transient fault that one retry fixes.
-  auto calls = std::make_shared<int>(0);
-  cfg.backend = [calls](std::span<const Sequence> xs,
-                        std::span<const Sequence> ys) {
+  int calls = 0;
+  FakeBackend transient([&calls](const ChunkJob& job) {
     std::vector<std::uint32_t> scores;
-    for (std::size_t k = 0; k < xs.size(); ++k)
-      scores.push_back(max_score(xs[k], ys[k], kParams));
-    if ((*calls)++ == 0 && !scores.empty()) scores[0] += 100;
+    for (std::size_t k = 0; k < job.xs.size(); ++k)
+      scores.push_back(max_score(job.xs[k], job.ys[k], kParams));
+    if (calls++ == 0 && !scores.empty()) scores[0] += 100;
     return scores;
-  };
+  });
+  cfg.backend = &transient;
   const ScreenReport report = screen(b.xs, b.ys, cfg);
 
   const auto& rel = report.reliability;
@@ -188,15 +188,15 @@ TEST(SelfCheck, FabricatedHitIsCaughtWithoutSampling) {
   cfg.check.enabled = true;
   cfg.check.sample_every = 0;
   cfg.check.max_retries = 3;
-  auto calls = std::make_shared<int>(0);
-  cfg.backend = [calls](std::span<const Sequence> xs,
-                        std::span<const Sequence> ys) {
+  int calls = 0;
+  FakeBackend fabricator([&calls](const ChunkJob& job) {
     std::vector<std::uint32_t> scores;
-    for (std::size_t k = 0; k < xs.size(); ++k)
-      scores.push_back(max_score(xs[k], ys[k], kParams));
-    if ((*calls)++ == 0 && scores.size() > 5) scores[5] += 1000;
+    for (std::size_t k = 0; k < job.xs.size(); ++k)
+      scores.push_back(max_score(job.xs[k], job.ys[k], kParams));
+    if (calls++ == 0 && scores.size() > 5) scores[5] += 1000;
     return scores;
-  };
+  });
+  cfg.backend = &fabricator;
   const ScreenReport report = screen(b.xs, b.ys, cfg);
 
   EXPECT_EQ(report.reliability.lanes_verified, 1u);  // just the fake hit
@@ -232,18 +232,21 @@ TEST(FaultDrill, HundredSeededCampaignsFullyRecovered) {
     fault.stall_probability = 0.05;
     device::FaultInjector injector(fault);
 
-    device::GpuRunOptions opt;
+    device::EngineOptions opt;
+    opt.params = kParams;
+    opt.width = LaneWidth::k32;
     opt.mode = bulk::Mode::kSerial;
     opt.faults = &injector;
     opt.watchdog_phases = kM + kN + 16;
+    opt.overlap_depth = 1;
+    device::PipelineEngine engine(opt);
 
     ScreenConfig cfg;
     cfg.params = kParams;
     cfg.threshold = 12;
     cfg.width = LaneWidth::k32;
     cfg.traceback = false;
-    cfg.backend =
-        device::make_screen_backend(kParams, LaneWidth::k32, opt);
+    cfg.backend = &engine;
     cfg.check.enabled = true;
     cfg.check.sample_every = 1;  // verify every lane: total detection
     cfg.check.max_retries = 4;

@@ -98,8 +98,13 @@ TEST(SchemeCross, DnaAffineMatchesScalarGotohAtEveryWidth) {
   const auto ys = random_batch(rng, 70, 33, 4);
   expect_cross_width_identity(xs, ys, dna_affine(3, 1), "dna affine 3/1");
   expect_cross_width_identity(xs, ys, dna_affine(5, 2), "dna affine 5/2");
-  // open == extend degenerates to linear costs; still the Gotoh circuit.
+  // open == extend degenerates to linear costs; still the Gotoh circuit,
+  // and it scores exactly like the linear scheme with that gap.
   expect_cross_width_identity(xs, ys, dna_affine(2, 2), "dna affine 2/2");
+  ScoringScheme linear = dna_affine(2, 2);
+  linear.gap_model = GapModel::kLinear;
+  EXPECT_EQ(try_scheme_max_scores(xs, ys, dna_affine(2, 2)).value(),
+            try_scheme_max_scores(xs, ys, linear).value());
 }
 
 TEST(SchemeCross, ProteinBlosum62MatchesScalarAtEveryWidth) {
@@ -384,7 +389,7 @@ TEST(SchemeEngine, OverlappedAffineIsBitIdenticalUnderFaults) {
     device::PipelineEngine engine(options);
     ScreenConfig cfg;
     cfg.scheme = scheme;
-    cfg.backend_v2 = &engine;
+    cfg.backend = &engine;
     cfg.chunk_pairs = 64;
     cfg.overlap_depth = depth;
     cfg.traceback = false;

@@ -1,21 +1,21 @@
 // Survivable long-run screening: chunked streaming, cooperative
 // cancellation/deadlines with well-formed partial reports, in-band stage
 // integrity with per-chunk quarantine/retry, and checkpoint/resume
-// (including the ISSUE's chunked 100-campaign fault drill).
+// (including a chunked 100-campaign fault drill).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "device/engine.hpp"
 #include "device/fault.hpp"
-#include "device/sw_kernels.hpp"
 #include "encoding/random.hpp"
+#include "fake_backend.hpp"
 #include "sw/pipeline.hpp"
 #include "sw/scalar.hpp"
 #include "util/cancel.hpp"
@@ -145,18 +145,26 @@ TEST(ScreenCancel, ExpiredDeadlineCompletesNothing) {
 }
 
 // Cancellation raised *inside* the device pipeline (between lock-step
-// phases) must unwind through launch -> chunk backend -> screen and still
+// phases) must unwind through launch -> backend -> screen and still
 // produce a typed partial report, not a torn one.
 TEST(ScreenCancel, CancelBetweenDevicePhasesYieldsPartialReport) {
   const Batch b = make_batch(15, 24, 8, 16);
   const std::vector<std::uint32_t> refs = scalar_refs(b, kParams);
   util::CancellationToken token;
 
-  device::GpuRunOptions opt;
+  device::EngineOptions opt;
+  opt.params = kParams;
+  opt.width = LaneWidth::k32;
   opt.mode = bulk::Mode::kSerial;
-  const ChunkBackend device_backend =
-      device::make_chunk_backend(kParams, LaneWidth::k32, opt);
-  auto chunks_run = std::make_shared<int>(0);
+  opt.overlap_depth = 1;
+  device::PipelineEngine engine(opt);
+  int chunks_run = 0;
+  // Second chunk: trip the token after the backend has started, so the
+  // stop is observed at a device phase boundary, not the chunk boundary.
+  FakeBackend cancelling([&](const ChunkJob& job) {
+    if (chunks_run++ == 1) token.cancel();
+    return engine.run(job).scores;
+  });
 
   ScreenConfig cfg;
   cfg.params = kParams;
@@ -164,15 +172,7 @@ TEST(ScreenCancel, CancelBetweenDevicePhasesYieldsPartialReport) {
   cfg.width = LaneWidth::k32;
   cfg.chunk_pairs = 8;
   cfg.cancel = &token;
-  cfg.chunk_backend = [&token, device_backend, chunks_run](
-                          std::span<const Sequence> xs,
-                          std::span<const Sequence> ys,
-                          const util::StopCondition* stop) {
-    // Second chunk: trip the token after the backend has started, so the
-    // stop is observed at a device phase boundary, not the chunk boundary.
-    if ((*chunks_run)++ == 1) token.cancel();
-    return device_backend(xs, ys, stop);
-  };
+  cfg.backend = &cancelling;
   const ScreenReport report = screen(b.xs, b.ys, cfg);
 
   EXPECT_EQ(report.status.code(), util::ErrorCode::kCancelled);
@@ -189,7 +189,16 @@ TEST(ScreenCancel, CancelBetweenDevicePhasesYieldsPartialReport) {
 TEST(ScreenCancel, CancelDuringVerifyKeepsReportBalanced) {
   const Batch b = make_batch(16, 20, 8, 16);
   util::CancellationToken token;
-  auto chunks_run = std::make_shared<int>(0);
+  int chunks_run = 0;
+  // After producing the second chunk's scores, cancel: the stop fires
+  // inside that chunk's verify loop.
+  FakeBackend cancelling([&](const ChunkJob& job) {
+    std::vector<std::uint32_t> scores;
+    for (std::size_t k = 0; k < job.xs.size(); ++k)
+      scores.push_back(max_score(job.xs[k], job.ys[k], kParams));
+    if (chunks_run++ == 1) token.cancel();
+    return scores;
+  });
   ScreenConfig cfg;
   cfg.params = kParams;
   cfg.threshold = 10;
@@ -197,16 +206,7 @@ TEST(ScreenCancel, CancelDuringVerifyKeepsReportBalanced) {
   cfg.cancel = &token;
   cfg.check.enabled = true;
   cfg.check.sample_every = 1;
-  cfg.backend = [&token, chunks_run](std::span<const Sequence> xs,
-                                     std::span<const Sequence> ys) {
-    std::vector<std::uint32_t> scores;
-    for (std::size_t k = 0; k < xs.size(); ++k)
-      scores.push_back(max_score(xs[k], ys[k], kParams));
-    // After producing the second chunk's scores, cancel: the stop fires
-    // inside that chunk's verify loop.
-    if ((*chunks_run)++ == 1) token.cancel();
-    return scores;
-  };
+  cfg.backend = &cancelling;
   const ScreenReport report = screen(b.xs, b.ys, cfg);
 
   EXPECT_EQ(report.status.code(), util::ErrorCode::kCancelled);
@@ -491,12 +491,16 @@ TEST(FaultDrill, ChunkedIntegrityCampaignsRecoverAndAttribute) {
     fault.copy_flip_probability = 2e-3;
     device::FaultInjector injector(fault);
 
-    device::GpuRunOptions opt;
+    device::EngineOptions opt;
+    opt.params = kParams;
+    opt.width = LaneWidth::k32;
     opt.mode = bulk::Mode::kSerial;
     opt.faults = &injector;
     opt.watchdog_phases = kM + kN + 16;
     opt.integrity.enabled = true;
     opt.integrity.sample_every = 1;
+    opt.overlap_depth = 1;
+    device::PipelineEngine engine(opt);
 
     ScreenConfig cfg;
     cfg.params = kParams;
@@ -505,8 +509,7 @@ TEST(FaultDrill, ChunkedIntegrityCampaignsRecoverAndAttribute) {
     cfg.traceback = false;
     cfg.chunk_pairs = kChunk;
     cfg.chunk_retry_limit = 3;
-    cfg.chunk_backend =
-        device::make_chunk_backend(kParams, LaneWidth::k32, opt);
+    cfg.backend = &engine;
     cfg.check.enabled = true;
     cfg.check.sample_every = 1;  // self-check backstop: total detection
     cfg.check.max_retries = 4;
@@ -554,17 +557,21 @@ TEST(FaultDrill, ChunkedIntegrityCampaignsRecoverAndAttribute) {
 // equal the reference, and the checks report being evaluated.
 TEST(Integrity, CleanDeviceRunDetectsNothing) {
   const Batch b = make_batch(23, 40, 8, 16);
-  device::GpuRunOptions opt;
+  device::EngineOptions opt;
+  opt.params = kParams;
+  opt.width = LaneWidth::k32;
   opt.mode = bulk::Mode::kSerial;
   opt.integrity.enabled = true;
   opt.integrity.sample_every = 1;
+  opt.overlap_depth = 1;
+  device::PipelineEngine engine(opt);
 
   ScreenConfig cfg;
   cfg.params = kParams;
   cfg.threshold = 10;
   cfg.width = LaneWidth::k32;
   cfg.chunk_pairs = 16;
-  cfg.chunk_backend = device::make_chunk_backend(kParams, LaneWidth::k32, opt);
+  cfg.backend = &engine;
   const ScreenReport report = screen(b.xs, b.ys, cfg);
 
   EXPECT_EQ(report.scores, scalar_refs(b, kParams));
